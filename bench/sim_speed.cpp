@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "checkpoint/checkpoint.hpp"
+#include "data/partition.hpp"
 #include "strategy/federated.hpp"
 #include "strategy/learning_strategy.hpp"
 #include "traffic/traffic_plan.hpp"
@@ -115,10 +116,14 @@ int main(int argc, char** argv) {
   {
     auto cfg = bench::ablation_scenario(31);
     cfg.dataset = "images";
-    cfg.train_pool_size = fast ? 2000 : 6000;
     cfg.test_size = fast ? 200 : 500;
     cfg.vehicles = 40;
     cfg.samples_per_vehicle = fast ? 40 : 80;
+    // Sized from the class-skew partitioner's precondition: a fixed pool
+    // (2000 for --fast) ran one class dry and aborted the run.
+    cfg.train_pool_size = data::class_skew_pool_size(
+        cfg.vehicles, cfg.samples_per_vehicle, cfg.classes_per_vehicle,
+        cfg.image_config.num_classes);
     cfg.model = "paper_cnn";
     cfg.train.learning_rate = 0.005F;
     scenario::Scenario scenario{cfg};
@@ -143,10 +148,12 @@ int main(int argc, char** argv) {
     // overstate the overhead of any realistic deployment.
     auto cfg = bench::ablation_scenario(31);
     cfg.dataset = "images";
-    cfg.train_pool_size = 6000;
     cfg.test_size = 500;
     cfg.vehicles = 40;
     cfg.samples_per_vehicle = 80;
+    cfg.train_pool_size = data::class_skew_pool_size(
+        cfg.vehicles, cfg.samples_per_vehicle, cfg.classes_per_vehicle,
+        cfg.image_config.num_classes);
     cfg.model = "paper_cnn";
     cfg.train.learning_rate = 0.005F;
     scenario::Scenario scenario{cfg};

@@ -96,6 +96,51 @@ std::vector<ml::DatasetView> partition_class_skew(
   return parts;
 }
 
+namespace {
+
+/// P(X > m) for X ~ Binomial(n, p).
+double binomial_upper_tail(std::size_t n, double p, std::size_t m) {
+  double tail = 0.0;
+  for (std::size_t k = m + 1; k <= n; ++k) {
+    const double log_pmf = std::lgamma(static_cast<double>(n) + 1.0) -
+                           std::lgamma(static_cast<double>(k) + 1.0) -
+                           std::lgamma(static_cast<double>(n - k) + 1.0) +
+                           static_cast<double>(k) * std::log(p) +
+                           static_cast<double>(n - k) * std::log1p(-p);
+    tail += std::exp(log_pmf);
+  }
+  return tail;
+}
+
+}  // namespace
+
+std::size_t class_skew_pool_size(std::size_t num_agents,
+                                 std::size_t samples_per_agent,
+                                 std::size_t classes_per_agent,
+                                 std::size_t num_classes) {
+  if (classes_per_agent == 0 || classes_per_agent > num_classes) {
+    throw std::invalid_argument{
+        "class_skew_pool_size: classes_per_agent out of range"};
+  }
+  constexpr double kTail = 1e-6;
+  const double pick = static_cast<double>(classes_per_agent) /
+                      static_cast<double>(num_classes);
+  std::size_t pickers = 0;
+  while (pickers < num_agents &&
+         binomial_upper_tail(num_agents, pick, pickers) > kTail) {
+    ++pickers;
+  }
+  const std::size_t quota =
+      (samples_per_agent + classes_per_agent - 1) / classes_per_agent;
+  const double demand = static_cast<double>(pickers * quota);
+  // Solve pool/C - z * sqrt(pool * (1/C) * (1 - 1/C)) >= demand with
+  // z = 4.75 (normal tail ~1e-6), a quadratic in sqrt(pool).
+  const double q = 1.0 / static_cast<double>(num_classes);
+  const double b = 4.75 * std::sqrt(q * (1.0 - q));
+  const double root = (b + std::sqrt(b * b + 4.0 * q * demand)) / (2.0 * q);
+  return static_cast<std::size_t>(std::ceil(root * root));
+}
+
 std::vector<ml::DatasetView> partition_dirichlet(const ml::DatasetView& pool,
                                                  std::size_t num_agents,
                                                  double alpha,

@@ -50,6 +50,18 @@ std::vector<ml::DatasetView> partition_class_skew(
     std::size_t samples_per_agent, std::size_t classes_per_agent,
     util::Rng& rng);
 
+/// Smallest training-pool size (uniformly labelled, `num_classes` classes)
+/// for which partition_class_skew's precondition — every class pool holds
+/// the quota of every agent that picks that class — holds for any seed
+/// except with negligible probability. The number of agents picking one
+/// class is Binomial(agents, classes_per_agent / num_classes) and the pool
+/// samples of one class are Binomial(pool, 1 / num_classes); both are
+/// bounded at a 1e-6 tail per class.
+std::size_t class_skew_pool_size(std::size_t num_agents,
+                                 std::size_t samples_per_agent,
+                                 std::size_t classes_per_agent,
+                                 std::size_t num_classes);
+
 /// Dirichlet: draws per-agent class mixtures p_a ~ Dir(alpha * 1) and
 /// assigns each pool sample to an agent proportionally to the agents'
 /// demand for its class. Every pool sample is assigned to exactly one agent.

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "ml/gemm.hpp"
+
 namespace roadrunner::ml {
 
 namespace {
@@ -130,9 +132,25 @@ ConvGeometry conv_geometry(std::size_t h, std::size_t w, std::size_t k,
                       (w + 2 * pad - k) / stride + 1};
 }
 
-/// Expands one sample [Cin, H, W] into columns [Cin*K*K, OH*OW], honouring
-/// stride and zero padding. The fast contiguous-copy path is kept for the
-/// common stride-1/no-padding configuration (the paper's CNN).
+/// The input value kernel tap (ki, kj) of output (oi, oj) reads from one
+/// channel plane, honouring stride; 0 inside the zero padding.
+float tap(const float* plane, const ConvGeometry& g, std::size_t oi,
+          std::size_t oj, std::size_t ki, std::size_t kj) {
+  const std::ptrdiff_t ii = static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+  const std::ptrdiff_t jj = static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+  const bool inside = ii >= 0 && jj >= 0 &&
+                      ii < static_cast<std::ptrdiff_t>(g.h) &&
+                      jj < static_cast<std::ptrdiff_t>(g.w);
+  return inside ? plane[static_cast<std::size_t>(ii) * g.w +
+                        static_cast<std::size_t>(jj)]
+                : 0.0F;
+}
+
+/// Expands one sample [Cin, H, W] into columns [Cin*K*K, OH*OW]. The fast
+/// contiguous-copy path is kept for the common stride-1/no-padding
+/// configuration (the paper's CNN).
 void im2col(const float* x, std::size_t cin, const ConvGeometry& g,
             float* cols) {
   const std::size_t out_hw = g.oh * g.ow;
@@ -142,29 +160,39 @@ void im2col(const float* x, std::size_t cin, const ConvGeometry& g,
     for (std::size_t ki = 0; ki < g.k; ++ki) {
       for (std::size_t kj = 0; kj < g.k; ++kj, ++row) {
         float* dst = cols + row * out_hw;
-        if (g.stride == 1 && g.pad == 0) {
-          for (std::size_t oi = 0; oi < g.oh; ++oi) {
+        for (std::size_t oi = 0; oi < g.oh; ++oi) {
+          if (g.stride == 1 && g.pad == 0) {
             const float* src = plane + (oi + ki) * g.w + kj;
             std::memcpy(dst + oi * g.ow, src, g.ow * sizeof(float));
+            continue;
           }
-          continue;
-        }
-        for (std::size_t oi = 0; oi < g.oh; ++oi) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
-              static_cast<std::ptrdiff_t>(g.pad);
           for (std::size_t oj = 0; oj < g.ow; ++oj) {
-            const std::ptrdiff_t jj =
-                static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
-                static_cast<std::ptrdiff_t>(g.pad);
-            const bool inside =
-                ii >= 0 && jj >= 0 &&
-                ii < static_cast<std::ptrdiff_t>(g.h) &&
-                jj < static_cast<std::ptrdiff_t>(g.w);
-            dst[oi * g.ow + oj] =
-                inside ? plane[static_cast<std::size_t>(ii) * g.w +
-                               static_cast<std::size_t>(jj)]
-                       : 0.0F;
+            dst[oi * g.ow + oj] = tap(plane, g, oi, oj, ki, kj);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Expands one sample [Cin, H, W] into rows [OH*OW, Cin*K*K]: the im2col
+/// matrix already transposed, so the weight gradient reads it as a
+/// row-major GEMM operand.
+void im2row(const float* x, std::size_t cin, const ConvGeometry& g,
+            float* rows) {
+  for (std::size_t oi = 0; oi < g.oh; ++oi) {
+    for (std::size_t oj = 0; oj < g.ow; ++oj) {
+      float* dst = rows + (oi * g.ow + oj) * cin * g.k * g.k;
+      for (std::size_t c = 0; c < cin; ++c) {
+        const float* plane = x + c * g.h * g.w;
+        for (std::size_t ki = 0; ki < g.k; ++ki, dst += g.k) {
+          if (g.stride == 1 && g.pad == 0) {
+            const float* src = plane + (oi + ki) * g.w + oj;
+            for (std::size_t kj = 0; kj < g.k; ++kj) dst[kj] = src[kj];
+            continue;
+          }
+          for (std::size_t kj = 0; kj < g.k; ++kj) {
+            dst[kj] = tap(plane, g, oi, oj, ki, kj);
           }
         }
       }
@@ -183,6 +211,15 @@ void col2im_add(const float* cols, std::size_t cin, const ConvGeometry& g,
     for (std::size_t ki = 0; ki < g.k; ++ki) {
       for (std::size_t kj = 0; kj < g.k; ++kj, ++row) {
         const float* src = cols + row * out_hw;
+        if (g.stride == 1 && g.pad == 0) {
+          // Same visiting order as the general path, without bounds checks.
+          for (std::size_t oi = 0; oi < g.oh; ++oi) {
+            float* dst = plane + (oi + ki) * g.w + kj;
+            const float* s_row = src + oi * g.ow;
+            for (std::size_t oj = 0; oj < g.ow; ++oj) dst[oj] += s_row[oj];
+          }
+          continue;
+        }
         for (std::size_t oi = 0; oi < g.oh; ++oi) {
           const std::ptrdiff_t ii =
               static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
@@ -218,19 +255,16 @@ Tensor Conv2D::forward(const Tensor& x) {
   const std::size_t ckk = cin_ * k_ * k_;
 
   Tensor y{{n, cout_, g.oh, g.ow}};
-  Tensor cols{{ckk, out_hw}};
-  Tensor w2d = w_.reshaped({cout_, ckk});
-  Tensor out2d{{cout_, out_hw}};
+  cols_.resize(ckk * out_hw);
   for (std::size_t s = 0; s < n; ++s) {
-    im2col(x.data() + s * cin_ * h * w, cin_, g, cols.data());
-    matmul_into(w2d, cols, out2d);
+    im2col(x.data() + s * cin_ * h * w, cin_, g, cols_.data());
+    // y_s [Cout, OHW] = W [Cout, CKK] * cols [CKK, OHW], then the bias.
     float* dst = y.data() + s * cout_ * out_hw;
-    const float* src = out2d.data();
+    gemm::gemm(cout_, out_hw, ckk, {w_.data(), ckk, 1},
+               {cols_.data(), out_hw, 1}, dst, out_hw, /*accumulate=*/false);
     for (std::size_t c = 0; c < cout_; ++c) {
       const float bias = b_[c];
-      for (std::size_t p = 0; p < out_hw; ++p) {
-        dst[c * out_hw + p] = src[c * out_hw + p] + bias;
-      }
+      for (std::size_t p = 0; p < out_hw; ++p) dst[c * out_hw + p] += bias;
     }
   }
   return y;
@@ -251,10 +285,12 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   }
 
   Tensor dx{cached_x_.shape()};
-  Tensor cols{{ckk, out_hw}};
-  Tensor dcols{{ckk, out_hw}};
-  Tensor w2d = w_.reshaped({cout_, ckk});
-  Tensor dw2d{{cout_, ckk}};
+  rows_.resize(out_hw * ckk);
+  dcols_.resize(ckk * out_hw);
+  dw_sample_.resize(cout_ * ckk);
+  // Per-sample weight gradients are summed in sample order, then added to
+  // dw_ once per call.
+  Tensor dw_batch{{cout_, ckk}};
 
   for (std::size_t s = 0; s < n; ++s) {
     const float* go = grad_out.data() + s * cout_ * out_hw;
@@ -264,18 +300,20 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
       for (std::size_t p = 0; p < out_hw; ++p) acc += go[c * out_hw + p];
       db_[c] += acc;
     }
-    // Weight gradient: dW2d += grad_out_s [Cout, OHW] * cols^T [OHW, CKK].
-    im2col(cached_x_.data() + s * cin_ * h * w, cin_, g, cols.data());
-    {
-      Tensor go_t{{cout_, out_hw},
-                  std::vector<float>(go, go + cout_ * out_hw)};
-      dw2d.add_(matmul_bt(go_t, cols));
-      // Input gradient: dcols = W^T [CKK, Cout] * grad_out_s [Cout, OHW].
-      dcols = matmul_at(w2d, go_t);
-    }
-    col2im_add(dcols.data(), cin_, g, dx.data() + s * cin_ * h * w);
+    // Weight gradient: dW_s [Cout, CKK] = grad_out_s [Cout, OHW] *
+    // rows [OHW, CKK].
+    im2row(cached_x_.data() + s * cin_ * h * w, cin_, g, rows_.data());
+    gemm::gemm(cout_, ckk, out_hw, {go, out_hw, 1}, {rows_.data(), ckk, 1},
+               dw_sample_.data(), ckk, /*accumulate=*/false);
+    float* dwb = dw_batch.data();
+    for (std::size_t i = 0; i < dw_sample_.size(); ++i) dwb[i] += dw_sample_[i];
+    // Input gradient: dcols [CKK, OHW] = W^T [CKK, Cout] * grad_out_s.
+    gemm::gemm(ckk, out_hw, cout_, {w_.data(), 1, ckk}, {go, out_hw, 1},
+               dcols_.data(), out_hw, /*accumulate=*/false);
+    col2im_add(dcols_.data(), cin_, g, dx.data() + s * cin_ * h * w);
   }
-  dw_.add_(dw2d.reshaped({cout_, cin_, k_, k_}));
+  float* dw = dw_.data();
+  for (std::size_t i = 0; i < dw_batch.size(); ++i) dw[i] += dw_batch[i];
   return dx;
 }
 
@@ -328,10 +366,11 @@ Tensor MaxPool2D::forward(const Tensor& x) {
                                              (i0 + 1) * w + j0,
                                              (i0 + 1) * w + j0 + 1};
           for (std::size_t cand : candidates) {
-            if (plane[cand] > best_v) {
-              best_v = plane[cand];
-              best = cand;
-            }
+            // Selects, not branches (see ReLU::backward); same first-max
+            // tie rule.
+            const bool better = plane[cand] > best_v;
+            best_v = better ? plane[cand] : best_v;
+            best = better ? cand : best;
           }
           py[out] = best_v;
           argmax_[out] = static_cast<std::uint32_t>(plane_base + best);
@@ -379,8 +418,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor dx = grad_out;
   const float* px = cached_x_.data();
   float* pd = dx.data();
+  // A select, not a branch: the sign of x is data-dependent, and a
+  // mispredicted branch per element cost more than the whole mask.
   for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (px[i] <= 0.0F) pd[i] = 0.0F;
+    pd[i] = px[i] <= 0.0F ? 0.0F : pd[i];
   }
   return dx;
 }

@@ -78,7 +78,10 @@ class Linear final : public Layer {
 /// padding. Input [N, Cin, H, W], kernel [Cout, Cin, K, K], output
 /// [N, Cout, OH, OW] with OH = (H + 2*padding - K)/stride + 1 (floor).
 /// Defaults (stride 1, padding 0, "valid") match the paper's LeNet-style
-/// CNN. Implemented via per-sample im2col + matmul.
+/// CNN. Implemented per sample on the GEMM core: forward multiplies the
+/// weights by im2col columns; backward builds im2row rows (the columns
+/// already transposed) for the weight gradient and scatters W^T * grad back
+/// through col2im for the input gradient.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels,
@@ -105,6 +108,9 @@ class Conv2D final : public Layer {
   Tensor cached_x_;
   // Spatial dims of the last forward, for flops and backward bookkeeping.
   std::size_t last_h_ = 0, last_w_ = 0;
+  // Scratch reused across samples and calls (clone() starts empty):
+  // im2col columns, im2row rows, column gradients, one sample's dW.
+  std::vector<float> cols_, rows_, dcols_, dw_sample_;
 };
 
 /// 2x2 max pooling with stride 2 (the paper's CNN uses max pooling after

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ml/gemm.hpp"
+
 namespace roadrunner::ml {
 
 std::size_t shape_volume(const std::vector<std::size_t>& shape) {
@@ -179,18 +181,8 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
   if (c.rank() != 2 || c.dim(0) != m || c.dim(1) != n) {
     throw std::invalid_argument{"matmul: output shape mismatch"};
   }
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  if (!accumulate) std::fill(pc, pc + m * n, 0.0F);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+  gemm::gemm(m, n, k, {a.data(), k, 1}, {b.data(), n, 1}, c.data(), n,
+             accumulate);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -207,18 +199,8 @@ Tensor matmul_at(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument{"matmul_at: inner dim mismatch"};
   }
   Tensor c{{m, n}};
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float aki = arow[i];
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
-    }
-  }
+  gemm::gemm(m, n, k, {a.data(), 1, m}, {b.data(), n, 1}, c.data(), n,
+             /*accumulate=*/false);
   return c;
 }
 
@@ -229,18 +211,8 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument{"matmul_bt: inner dim mismatch"};
   }
   Tensor c{{m, n}};
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0F;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      pc[i * n + j] = acc;
-    }
-  }
+  gemm::gemm(m, n, k, {a.data(), k, 1}, {b.data(), 1, k}, c.data(), n,
+             /*accumulate=*/false);
   return c;
 }
 

@@ -102,12 +102,16 @@ class Tensor {
 /// Volume of a shape (product of dims; empty shape has volume 0).
 std::size_t shape_volume(const std::vector<std::size_t>& shape);
 
-/// C[M,N] = A[M,K] * B[K,N]. Plain ikj loop; accumulates in float with
-/// blocking left to the compiler (-O3 autovectorizes the inner j loop).
+/// C[M,N] = A[M,K] * B[K,N] on the GEMM core (ml/gemm.hpp): register-
+/// tiled or k-outer kernels picked from the shapes, AVX2 when the CPU has
+/// it. Reduction-order contract shared by all matmul variants: each output
+/// is +0 plus its K products added in ascending k, each multiply and add
+/// rounded separately (no FMA) — the bytes of the naive loop on every path.
 /// Throws std::invalid_argument on shape mismatch.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// C[M,N] += A[M,K] * B[K,N], writing into an existing output tensor.
+/// C[M,N] (+)= A[M,K] * B[K,N] into an existing output tensor; with
+/// `accumulate` each output starts from its current value instead of +0.
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
                  bool accumulate = false);
 

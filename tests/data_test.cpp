@@ -188,6 +188,29 @@ TEST(PartitionClassSkew, ExhaustionThrowsInsteadOfDuplicating) {
                std::invalid_argument);
 }
 
+TEST(PartitionClassSkew, PoolSizedFromThePreconditionNeverRunsDry) {
+  // sim_speed --fast's paper-CNN run: 40 vehicles x 40 samples from 2 of
+  // 10 classes. Its old fixed pool of 2000 ran a class dry.
+  const std::size_t pool_size = class_skew_pool_size(40, 40, 2, 10);
+  EXPECT_GT(pool_size, 2000U);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    GaussianBlobConfig cfg;
+    cfg.num_classes = 10;
+    cfg.seed = seed;
+    auto pool = ml::DatasetView::all(
+        std::make_shared<ml::Dataset>(make_gaussian_blobs(pool_size, cfg)));
+    util::Rng rng{seed};
+    EXPECT_NO_THROW(partition_class_skew(pool, 40, 40, 2, rng)) << seed;
+  }
+  // More demand per class needs a larger pool.
+  EXPECT_GT(class_skew_pool_size(40, 80, 2, 10), pool_size);
+  EXPECT_GT(class_skew_pool_size(40, 40, 1, 10), pool_size);
+  EXPECT_THROW((void)class_skew_pool_size(40, 40, 0, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)class_skew_pool_size(40, 40, 11, 10),
+               std::invalid_argument);
+}
+
 TEST(PartitionClassSkew, ValidatesArguments) {
   auto pool = blob_pool(100);
   util::Rng rng{5};

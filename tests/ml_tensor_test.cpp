@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "ml/gemm.hpp"
 #include "util/rng.hpp"
 
 namespace roadrunner::ml {
@@ -117,7 +123,12 @@ TEST(Matmul, AccumulateFlag) {
   EXPECT_EQ(c[0], 6.0F);
 }
 
-// Property: the transposed variants agree with explicit transposition.
+bool same_bytes(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// Property: the transposed variants agree with explicit transposition, bit
+// for bit — every variant adds each output's products in ascending k.
 class MatmulVariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MatmulVariants, TransposedVariantsAgree) {
@@ -143,9 +154,7 @@ TEST_P(MatmulVariants, TransposedVariantsAgree) {
   }
   const Tensor via_at = matmul_at(a_t, b);
   ASSERT_EQ(via_at.shape(), expect.shape());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_NEAR(via_at[i], expect[i], 1e-4);
-  }
+  EXPECT_TRUE(same_bytes(via_at.data(), expect.data(), expect.size()));
 
   // matmul_bt: pass b stored as [n, k].
   Tensor b_t{{n, k}};
@@ -153,13 +162,198 @@ TEST_P(MatmulVariants, TransposedVariantsAgree) {
     for (std::size_t j = 0; j < n; ++j) b_t.at2(j, i) = b.at2(i, j);
   }
   const Tensor via_bt = matmul_bt(a, b_t);
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_NEAR(via_bt[i], expect[i], 1e-4);
-  }
+  ASSERT_EQ(via_bt.shape(), expect.shape());
+  EXPECT_TRUE(same_bytes(via_bt.data(), expect.data(), expect.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomShapes, MatmulVariants,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+// ----- bit-exact parity of the GEMM core ------------------------------------
+//
+// The reference is the three scalar loops the GEMM core replaced, copied
+// verbatim (this file is built with -ffp-contract=off, like the core).
+
+void ref_matmul_into(const float* pa, const float* pb, float* pc,
+                     std::size_t m, std::size_t k, std::size_t n,
+                     bool accumulate) {
+  if (!accumulate) std::fill(pc, pc + m * n, 0.0F);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aik = pa[i * k + kk];
+      const float* brow = pb + kk * n;
+      float* crow = pc + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+    }
+  }
+}
+
+// A stored [K, M].
+void ref_matmul_at(const float* pa, const float* pb, float* pc,
+                   std::size_t m, std::size_t k, std::size_t n) {
+  std::fill(pc, pc + m * n, 0.0F);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = pa + kk * m;
+    const float* brow = pb + kk * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float aki = arow[i];
+      float* crow = pc + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
+    }
+  }
+}
+
+// B stored [N, K].
+void ref_matmul_bt(const float* pa, const float* pb, float* pc,
+                   std::size_t m, std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = pb + j * k;
+      float acc = 0.0F;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      pc[i * n + j] = acc;
+    }
+  }
+}
+
+/// Ordinary values, with about 5 in `rarity` special: signed zeros,
+/// denormals, and tiny values whose products underflow into denormals.
+/// (Denormal arithmetic runs on slow microcode, so the large shapes use a
+/// high rarity.)
+float tricky_value(util::Rng& rng, std::uint64_t rarity) {
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  switch (rng.next_below(rarity)) {
+    case 0: return -0.0F;
+    case 1: return 0.0F;
+    case 2: return static_cast<float>(rng.uniform(-1.0, 1.0)) * 1e-39F;
+    case 3: return static_cast<float>(rng.uniform(-1.0, 1.0)) * 1e-20F;
+    case 4: return rng.next_below(2) == 0 ? denorm_min : -denorm_min;
+    default: return static_cast<float>(rng.uniform(-2.0, 2.0));
+  }
+}
+
+std::vector<float> tricky(std::size_t size, util::Rng& rng,
+                          std::uint64_t rarity) {
+  std::vector<float> v(size);
+  for (float& x : v) x = tricky_value(rng, rarity);
+  return v;
+}
+
+std::vector<float> transposed(const std::vector<float>& v, std::size_t rows,
+                              std::size_t cols) {
+  std::vector<float> t(v.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = v[r * cols + c];
+  }
+  return t;
+}
+
+std::vector<float> values_of(const Tensor& t) {
+  return {t.values().begin(), t.values().end()};
+}
+
+const char* isa_name(gemm::Isa isa) {
+  return isa == gemm::Isa::kAvx2 ? "avx2" : "scalar";
+}
+
+/// Checks the `isa` path of the core (and, when it is the one this CPU
+/// runs, the public entry points) against the reference loops on all
+/// (m, n) in dims x dims at depth k. Returns the number of mismatching
+/// products; the first few are reported.
+std::size_t parity_mismatches(gemm::Isa isa,
+                              const std::vector<std::size_t>& dims,
+                              std::size_t k, std::uint64_t rarity,
+                              util::Rng& rng) {
+  std::size_t mismatches = 0;
+  for (std::size_t m : dims) {
+    for (std::size_t n : dims) {
+      const std::vector<float> a = tricky(m * k, rng, rarity);
+      const std::vector<float> b = tricky(k * n, rng, rarity);
+      const std::vector<float> c0 = tricky(m * n, rng, rarity);
+      const std::vector<float> a_t = transposed(a, m, k);
+      const std::vector<float> b_t = transposed(b, k, n);
+
+      std::vector<float> plain(m * n), at(m * n), bt(m * n), acc = c0;
+      ref_matmul_into(a.data(), b.data(), plain.data(), m, k, n, false);
+      ref_matmul_at(a_t.data(), b.data(), at.data(), m, k, n);
+      ref_matmul_bt(a.data(), b_t.data(), bt.data(), m, k, n);
+      ref_matmul_into(a.data(), b.data(), acc.data(), m, k, n, true);
+
+      const auto check = [&](const std::vector<float>& got,
+                             const std::vector<float>& want,
+                             const std::string& what) {
+        if (same_bytes(got.data(), want.data(), want.size())) return;
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << isa_name(isa) << " " << what << " differs at m="
+                        << m << " n=" << n << " k=" << k;
+        }
+      };
+      std::vector<float> out(m * n, 7.0F);
+      gemm::gemm(m, n, k, {a.data(), k, 1}, {b.data(), n, 1}, out.data(), n,
+                 false, isa);
+      check(out, plain, "A*B");
+      gemm::gemm(m, n, k, {a_t.data(), 1, m}, {b.data(), n, 1}, out.data(), n,
+                 false, isa);
+      check(out, at, "A^T*B");
+      gemm::gemm(m, n, k, {a.data(), k, 1}, {b_t.data(), 1, k}, out.data(), n,
+                 false, isa);
+      check(out, bt, "A*B^T");
+      out = c0;
+      gemm::gemm(m, n, k, {a.data(), k, 1}, {b.data(), n, 1}, out.data(), n,
+                 true, isa);
+      check(out, acc, "C+=A*B");
+
+      // The public entry points wire their strides through correctly.
+      if (isa != gemm::best_isa()) continue;
+      const Tensor ta{{m, k}, a}, tb{{k, n}, b};
+      check(values_of(matmul(ta, tb)), plain, "matmul");
+      check(values_of(matmul_at(Tensor{{k, m}, a_t}, tb)), at, "matmul_at");
+      check(values_of(matmul_bt(ta, Tensor{{n, k}, b_t})), bt, "matmul_bt");
+      Tensor acc_out{{m, n}, c0};
+      matmul_into(ta, tb, acc_out, /*accumulate=*/true);
+      check(values_of(acc_out), acc, "matmul_into accumulate");
+    }
+  }
+  return mismatches;
+}
+
+const std::vector<std::size_t> kGridDims{1,  2,  3,  4,  5,  7,   8,  9,
+                                         15, 16, 17, 33, 75, 120, 150};
+
+TEST(GemmParity, SignedZerosAndDenormalsOnSmallShapes) {
+  util::Rng rng{99};
+  for (gemm::Isa isa : {gemm::Isa::kScalar, gemm::Isa::kAvx2}) {
+    if (!gemm::supported(isa)) continue;
+    for (std::size_t k : {1, 6, 33}) {
+      EXPECT_EQ(parity_mismatches(isa, {1, 5, 17}, k, /*rarity=*/8, rng), 0U)
+          << isa_name(isa);
+    }
+  }
+}
+
+// Shapes cross every tile edge (4 x 16 register tiles, 256-deep K-blocks)
+// and both loop forms; K is the test parameter. The scalar path runs on
+// every host, so an AVX2 host also tests the fallback.
+class GemmParityGrid : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GemmParityGrid, ScalarPathMatchesThePreChangeLoops) {
+  util::Rng rng{GetParam()};
+  EXPECT_EQ(parity_mismatches(gemm::Isa::kScalar, kGridDims, GetParam(),
+                              /*rarity=*/256, rng),
+            0U);
+}
+
+TEST_P(GemmParityGrid, Avx2PathMatchesThePreChangeLoops) {
+  if (!gemm::supported(gemm::Isa::kAvx2)) GTEST_SKIP() << "no AVX2 on this CPU";
+  util::Rng rng{GetParam()};
+  EXPECT_EQ(parity_mismatches(gemm::Isa::kAvx2, kGridDims, GetParam(),
+                              /*rarity=*/256, rng),
+            0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(DepthK, GemmParityGrid,
+                         ::testing::Values<std::size_t>(1, 6, 100, 400, 784));
 
 }  // namespace
 }  // namespace roadrunner::ml

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/gaussian_blobs.hpp"
+#include "data/synthetic_images.hpp"
 #include "ml/models.hpp"
 #include "test_util.hpp"
 
@@ -128,6 +129,67 @@ TEST(Evaluate, SubsetViewEvaluatesOnlySubset) {
   Network net = make_mlp(16, 8, 4);
   prime_and_init(net, {16}, rng);
   EXPECT_EQ(evaluate(net, subset).samples, 5U);
+}
+
+// FNV-1a over the raw bytes of float tensors: changes when any bit of any
+// value changes, so it pins the exact reduction order of the ML kernels.
+std::uint64_t fnv1a(std::uint64_t h, const Tensor& t) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// Digests recorded before the GEMM kernels were rewritten (DESIGN.md §10.4:
+// every kernel path adds each output's products in ascending k, without
+// FMA). A kernel that reorders a sum, fuses a multiply-add or flushes
+// denormals changes them.
+TEST(TrainingDigest, PaperCnnWeightsAfterFourSgdSteps) {
+  data::SyntheticImageConfig images;
+  images.seed = 11;
+  auto view = DatasetView::all(
+      std::make_shared<Dataset>(data::make_synthetic_images(64, images)));
+  util::Rng init{21};
+  Network net = make_paper_cnn(3, 32, 10);
+  prime_and_init(net, {3, 32, 32}, init);
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 16;
+  util::Rng rng{31};
+  ASSERT_EQ(train_sgd(net, view, cfg, rng).steps, 4U);
+  std::uint64_t h = kFnvOffset;
+  for (const Tensor& t : net.weights()) h = fnv1a(h, t);
+  EXPECT_EQ(h, 0xe21a0ddd5ae29373ULL);
+}
+
+TEST(TrainingDigest, Conv2DBackwardGradients) {
+  struct Case {
+    std::size_t cin, cout, k, stride, pad, side;
+    std::uint64_t dw, dx;
+  };
+  // The paper CNN's two convolutions, plus a strided, padded one.
+  const Case cases[] = {
+      {3, 6, 5, 1, 0, 32, 0x19c21f04fc93823dULL, 0xb2e1b5c6c4d233ecULL},
+      {6, 16, 5, 1, 0, 14, 0x9c53e450c3fe06e0ULL, 0x0099d0b07fb91e29ULL},
+      {4, 5, 3, 2, 1, 9, 0x3c0d159d9d98920dULL, 0xaa5e7ec5d3c9991aULL}};
+  for (const Case& c : cases) {
+    util::Rng rng{c.cin * 100 + c.cout};
+    Conv2D conv{c.cin, c.cout, c.k, c.stride, c.pad};
+    conv.init_params(rng);
+    Tensor x{{4, c.cin, c.side, c.side}};
+    testing::randomize(x, rng);
+    const Tensor y = conv.forward(x);
+    Tensor grad{y.shape()};
+    testing::randomize(grad, rng);
+    const Tensor dx = conv.backward(grad);
+    const std::uint64_t dw = fnv1a(kFnvOffset, *conv.grads()[0]);
+    const std::uint64_t dxh = fnv1a(kFnvOffset, dx);
+    EXPECT_EQ(dw, c.dw) << "cin " << c.cin;
+    EXPECT_EQ(dxh, c.dx) << "cin " << c.cin;
+  }
 }
 
 }  // namespace
