@@ -220,29 +220,37 @@ TEST(ThreadPool, PendingAndBusyReflectQueueState) {
     return pred();
   };
 
-  // Saturate both workers with tasks that block until released.
+  // Saturate both workers with submitted tasks that block until released.
   std::atomic<bool> release{false};
-  std::thread blocker{[&] {
-    pool.parallel_for(2, [&](std::size_t) {
+  std::atomic<int> blockers_done{0};
+  for (int b = 0; b < 2; ++b) {
+    pool.submit([&] {
       while (!release.load()) std::this_thread::yield();
+      blockers_done.fetch_add(1);
     });
-  }};
+  }
   ASSERT_TRUE(wait_until([&] { return pool.busy() == 2; }));
   EXPECT_EQ(pool.pending(), 0U);
 
-  // A second caller's shard tasks now have to queue behind them.
+  // Further tasks now have to queue behind them.
+  std::atomic<int> queued_done{0};
+  for (int q = 0; q < 2; ++q) pool.submit([&] { queued_done.fetch_add(1); });
+  EXPECT_EQ(pool.pending(), 2U);
+
+  // Helping join: with every worker blocked, a parallel_for completes on
+  // its caller alone, and withdraws the shard task no worker started.
   std::atomic<int> quick_done{0};
-  std::thread waiter{[&] {
-    pool.parallel_for(2, [&](std::size_t) { quick_done.fetch_add(1); });
-  }};
-  ASSERT_TRUE(wait_until([&] { return pool.pending() == 2; }));
+  pool.parallel_for(8, [&](std::size_t) { quick_done.fetch_add(1); });
+  EXPECT_EQ(quick_done.load(), 8);
+  EXPECT_EQ(blockers_done.load(), 0);
+  EXPECT_EQ(pool.busy(), 2U);
+  EXPECT_EQ(pool.pending(), 2U);
 
   release.store(true);
-  blocker.join();
-  waiter.join();
-  EXPECT_EQ(quick_done.load(), 2);
   ASSERT_TRUE(
       wait_until([&] { return pool.busy() == 0 && pool.pending() == 0; }));
+  EXPECT_EQ(blockers_done.load(), 2);
+  EXPECT_EQ(queued_done.load(), 2);
 }
 
 TEST(ThreadPool, ReusableAcrossCalls) {
