@@ -1,12 +1,13 @@
 // Micro-benchmarks for the ML substrate: tensor matmul, the paper CNN's
-// forward/backward, FedAvg aggregation, and model serialization. These
-// bound the per-agent training cost that dominates learning experiments.
+// forward/backward, FedAvg aggregation, model serialization, and the
+// synthetic image dataset the CNN trains on. These bound the per-agent
+// training cost that dominates learning experiments.
 //
 // Two modes:
 //  * default — self-timed headline numbers (conv GFLOP/s, CNN train
-//    steps/s, FedAvg merges/s, serialize MB/s) written to BENCH_ml.json
-//    through the shared bench::BenchJson writer, the file the CI perf lane
-//    tracks against main (tools/perf_compare.py);
+//    steps/s, FedAvg merges/s, images/s, serialize MB/s) written to
+//    BENCH_ml.json through the shared bench::BenchJson writer, the file
+//    the CI perf lane tracks against main (tools/perf_compare.py);
 //  * --gbench — the full google-benchmark suite below, for interactive
 //    drill-down with proper statistical repetition.
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "data/partition.hpp"
 #include "data/synthetic_images.hpp"
 #include "ml/fedavg.hpp"
 #include "ml/gmm.hpp"
@@ -456,6 +458,30 @@ int headline_main(const util::CliArgs& args) {
                 merges_per_s);
     json.begin_run("gmm suffstat merge, 15 contrib");
     json.metric("suffstat_merges_per_s", merges_per_s);
+    total_wall += wall;
+  }
+
+  // Synthetic images: the fig4_cnn workload's dataset (the class-skew pool
+  // for 60 vehicles x 32 samples, plus a 500-image test set) with the Fig. 4
+  // noise settings: what every image scenario pays before its first event.
+  {
+    data::SyntheticImageConfig cfg;
+    cfg.noise_sigma = 0.85;
+    cfg.gain_jitter = 0.45;
+    const std::size_t count =
+        data::class_skew_pool_size(60, 32, 1, cfg.num_classes) + 500;
+    const auto [wall, iters] = time_loop(
+        [&] {
+          auto ds = data::make_synthetic_images(count, cfg);
+          static_cast<void>(ds);
+        },
+        min_s);
+    const double images_per_s =
+        static_cast<double>(iters * count) / wall;
+    std::printf("%-32s %10.0f images/s\n",
+                "synthetic images, fig4_cnn dataset", images_per_s);
+    json.begin_run("synthetic images, fig4_cnn dataset");
+    json.metric("images_per_s", images_per_s);
     total_wall += wall;
   }
 

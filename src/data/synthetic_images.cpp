@@ -4,6 +4,9 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace roadrunner::data {
 
@@ -59,6 +62,65 @@ double pattern_value(std::int32_t label, double i, double j, double side,
   }
 }
 
+/// One sample's per-image draws: everything but its pixel noise.
+struct ImageDraw {
+  std::int32_t label = 0;
+  double phase = 0.0;
+  double freq = 0.0;
+  int shift_i = 0;
+  int shift_j = 0;
+  std::vector<double> gains;  ///< one per channel
+};
+
+/// Draws the nuisance parameters of one sample of class `label` from `rng`.
+ImageDraw draw_image(std::int32_t label, const SyntheticImageConfig& config,
+                     util::Rng& rng) {
+  ImageDraw d;
+  d.label = label;
+  d.phase = rng.uniform(0.0, kTau);
+  d.freq = rng.uniform(2.5, 4.5);
+  d.shift_i = static_cast<int>(
+      rng.uniform_int(-config.max_shift, config.max_shift));
+  d.shift_j = static_cast<int>(
+      rng.uniform_int(-config.max_shift, config.max_shift));
+  d.gains.resize(config.channels);
+  for (double& g : d.gains) {
+    g = 1.0 + config.gain_jitter * rng.normal();
+  }
+  return d;
+}
+
+/// Pixel-noise draws one sample consumes: a normal() per pixel and channel,
+/// two next() draws each.
+std::uint64_t noise_draws(const SyntheticImageConfig& config) {
+  return 2 * config.channels * config.side * config.side;
+}
+
+/// Paints sample `d` into `out` ([C, S, S], row-major), drawing its pixel
+/// noise from `noise`: exactly noise_draws(config) next() draws.
+void paint_image(const ImageDraw& d, const SyntheticImageConfig& config,
+                 util::Rng& noise, float* out) {
+  const std::size_t s = config.side, c = config.channels;
+  const auto side_d = static_cast<double>(s);
+  const auto si = static_cast<int>(s);
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < s; ++j) {
+      // Toroidal shift keeps statistics stationary across the image.
+      const auto pi_shift = static_cast<double>(
+          (static_cast<int>(i) + d.shift_i % si + si) % si);
+      const auto pj_shift = static_cast<double>(
+          (static_cast<int>(j) + d.shift_j % si + si) % si);
+      const double base =
+          pattern_value(d.label, pi_shift, pj_shift, side_d, d.phase, d.freq);
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        const double value =
+            d.gains[ch] * base + config.noise_sigma * noise.normal();
+        out[(ch * s + i) * s + j] = static_cast<float>(value);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ml::Tensor render_synthetic_image(std::int32_t label,
@@ -70,40 +132,8 @@ ml::Tensor render_synthetic_image(std::int32_t label,
   }
   const std::size_t s = config.side, c = config.channels;
   ml::Tensor img{{c, s, s}};
-
-  const double phase = rng.uniform(0.0, kTau);
-  const double freq = rng.uniform(2.5, 4.5);
-  const int shift_i = static_cast<int>(
-      rng.uniform_int(-config.max_shift, config.max_shift));
-  const int shift_j = static_cast<int>(
-      rng.uniform_int(-config.max_shift, config.max_shift));
-
-  std::vector<double> gains(c);
-  for (double& g : gains) {
-    g = 1.0 + config.gain_jitter * rng.normal();
-  }
-
-  const auto side_d = static_cast<double>(s);
-  for (std::size_t i = 0; i < s; ++i) {
-    for (std::size_t j = 0; j < s; ++j) {
-      // Toroidal shift keeps statistics stationary across the image.
-      const double pi_shift =
-          static_cast<double>((static_cast<int>(i) + shift_i % static_cast<int>(s) +
-                               static_cast<int>(s)) %
-                              static_cast<int>(s));
-      const double pj_shift =
-          static_cast<double>((static_cast<int>(j) + shift_j % static_cast<int>(s) +
-                               static_cast<int>(s)) %
-                              static_cast<int>(s));
-      const double base =
-          pattern_value(label, pi_shift, pj_shift, side_d, phase, freq);
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        const double value =
-            gains[ch] * base + config.noise_sigma * rng.normal();
-        img.data()[(ch * s + i) * s + j] = static_cast<float>(value);
-      }
-    }
-  }
+  const ImageDraw d = draw_image(label, config, rng);
+  paint_image(d, config, rng, img.data());
   return img;
 }
 
@@ -113,18 +143,30 @@ ml::Dataset make_synthetic_images(std::size_t count,
     throw std::invalid_argument{
         "make_synthetic_images: num_classes must be in [1, 10]"};
   }
+  // One stream, in sample order: label, nuisance draws, pixel noise. The
+  // noise of a sample is a fixed number of draws, so a serial pass can draw
+  // every label and nuisance parameter, note where each sample's noise
+  // starts and skip past it; the pixels are then painted in parallel, and
+  // the worker count cannot change a byte (DESIGN.md §10.4).
   util::Rng rng{config.seed};
-  const std::size_t s = config.side, c = config.channels;
-  ml::Tensor x{{count, c, s, s}};
+  std::vector<ImageDraw> draws(count);
+  std::vector<util::Rng> noise(count);
   std::vector<std::int32_t> labels(count);
-  const std::size_t sample_size = c * s * s;
   for (std::size_t n = 0; n < count; ++n) {
-    const auto label =
-        static_cast<std::int32_t>(rng.next_below(config.num_classes));
-    labels[n] = label;
-    ml::Tensor img = render_synthetic_image(label, config, rng);
-    std::copy_n(img.data(), sample_size, x.data() + n * sample_size);
+    labels[n] = static_cast<std::int32_t>(rng.next_below(config.num_classes));
+    draws[n] = draw_image(labels[n], config, rng);
+    noise[n] = rng;
+    rng.discard(noise_draws(config));
   }
+
+  const std::size_t s = config.side, c = config.channels;
+  const std::size_t sample_size = c * s * s;
+  ml::Tensor x{{count, c, s, s}};
+  util::ThreadPool::global().parallel_for(count, [&](std::size_t n) {
+    // A local copy: neighbouring streams share cache lines across threads.
+    util::Rng rng = noise[n];
+    paint_image(draws[n], config, rng, x.data() + n * sample_size);
+  });
   return ml::Dataset{std::move(x), std::move(labels), config.num_classes};
 }
 

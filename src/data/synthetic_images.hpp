@@ -33,7 +33,10 @@ struct SyntheticImageConfig {
 };
 
 /// Generates `count` samples with uniformly distributed labels.
-/// Deterministic given the config (including seed).
+/// Deterministic given the config (including seed): the same bytes as
+/// drawing each label with next_below and rendering it with
+/// render_synthetic_image on one Rng seeded with config.seed, although the
+/// pixels are painted on ThreadPool::global() (DESIGN.md §10.4 item 6).
 ml::Dataset make_synthetic_images(std::size_t count,
                                   const SyntheticImageConfig& config = {});
 

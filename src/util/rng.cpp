@@ -25,16 +25,27 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
+namespace {
+/// The xoshiro256 state transition shared by next() and discard().
+void advance(std::uint64_t (&s)[4]) {
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+}
+}  // namespace
+
 std::uint64_t Rng::next() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  advance(s_);
   return result;
+}
+
+void Rng::discard(std::uint64_t n) {
+  for (; n > 0; --n) advance(s_);
 }
 
 std::uint64_t Rng::next_below(std::uint64_t n) {

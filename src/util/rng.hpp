@@ -52,8 +52,13 @@ class Rng {
   double uniform(double lo, double hi);
 
   /// Standard normal via Box–Muller (deterministic, no cached spare so that
-  /// the consumed stream length per call is fixed).
+  /// the consumed stream length per call is fixed: exactly two next()
+  /// draws, which is what lets discard() skip a known number of normals).
   double normal();
+
+  /// Advances the stream as n calls of next() would, without computing
+  /// their outputs. Skipping k normal() calls is discard(2 * k).
+  void discard(std::uint64_t n);
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);

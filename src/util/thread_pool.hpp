@@ -1,7 +1,8 @@
-// Fixed-size thread pool. Two users share the process-wide pool: the ML
+// Fixed-size thread pool. Three users share the process-wide pool: the ML
 // module shards Conv2D's per-sample loop over the samples of a batch and
 // evaluates batches in parallel (the paper's HUs "can run multiple
-// operations in parallel to speed up the simulation", §4). Results are
+// operations in parallel to speed up the simulation", §4), and the
+// synthetic image generator paints its samples in parallel. Results are
 // reduced in deterministic index order, so parallelism never changes
 // numerical output.
 //

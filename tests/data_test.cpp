@@ -2,14 +2,18 @@
 // partitioners, and dataset persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <future>
 #include <set>
 
 #include "data/dataset_io.hpp"
 #include "data/gaussian_blobs.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic_images.hpp"
+#include "util/thread_pool.hpp"
 
 namespace roadrunner::data {
 namespace {
@@ -38,6 +42,61 @@ TEST(SyntheticImages, DeterministicGivenSeed) {
   cfg.seed = 78;
   const auto c = make_synthetic_images(16, cfg);
   EXPECT_FALSE(a.features() == c.features());
+}
+
+/// The generator's definition as one serial stream: per sample, a label
+/// from next_below, then render_synthetic_image on the same Rng.
+ml::Dataset one_stream_images(std::size_t count,
+                              const SyntheticImageConfig& cfg) {
+  util::Rng rng{cfg.seed};
+  const std::size_t sample_size = cfg.channels * cfg.side * cfg.side;
+  ml::Tensor x{{count, cfg.channels, cfg.side, cfg.side}};
+  std::vector<std::int32_t> labels(count);
+  for (std::size_t n = 0; n < count; ++n) {
+    labels[n] = static_cast<std::int32_t>(rng.next_below(cfg.num_classes));
+    const ml::Tensor img = render_synthetic_image(labels[n], cfg, rng);
+    std::copy_n(img.data(), sample_size, x.data() + n * sample_size);
+  }
+  return ml::Dataset{std::move(x), std::move(labels), cfg.num_classes};
+}
+
+bool same_bytes(const ml::Dataset& a, const ml::Dataset& b) {
+  const ml::Tensor& fa = a.features();
+  const ml::Tensor& fb = b.features();
+  return fa.shape() == fb.shape() && a.labels() == b.labels() &&
+         std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(float)) == 0;
+}
+
+TEST(SyntheticImages, MatchesOneStreamRender) {
+  SyntheticImageConfig small;
+  small.side = 16;
+  small.channels = 1;
+  small.num_classes = 3;
+  small.max_shift = 0;
+  small.seed = 9;
+  for (const SyntheticImageConfig& cfg : {SyntheticImageConfig{}, small}) {
+    for (std::size_t count : {0U, 1U, 257U}) {
+      EXPECT_TRUE(same_bytes(make_synthetic_images(count, cfg),
+                             one_stream_images(count, cfg)))
+          << "side " << cfg.side << ", count " << count;
+    }
+  }
+}
+
+TEST(SyntheticImages, SameBytesInsideAPoolWorker) {
+  // On the main thread the paint pass shards over the global pool. From a
+  // worker of the global pool it runs inline on that worker; from a worker
+  // of another pool (a campaign job) that worker is one more caller.
+  SyntheticImageConfig cfg;
+  cfg.seed = 31;
+  const ml::Dataset sharded = make_synthetic_images(97, cfg);
+  util::ThreadPool campaign_pool{1};
+  for (util::ThreadPool* pool :
+       {&util::ThreadPool::global(), &campaign_pool}) {
+    std::promise<ml::Dataset> done;
+    pool->submit([&] { done.set_value(make_synthetic_images(97, cfg)); });
+    EXPECT_TRUE(same_bytes(sharded, done.get_future().get()));
+  }
 }
 
 TEST(SyntheticImages, ClassesAreStatisticallyDistinct) {

@@ -2,10 +2,10 @@
 """Unit tests for tools/perf_compare.py error handling and the regression
 gate, run as the `perf_compare_test` ctest target.
 
-The contract under test (ISSUE satellite): a missing or unparseable
-baseline must produce a clear actionable message and exit 0 — never a
-stack trace — while a broken *current* file is a usage error (exit 2),
-and real regressions still fail (exit 1).
+The contract under test: a missing or unparseable baseline must produce a
+clear actionable message and exit 0 — never a stack trace — while a broken
+*current* file is a usage error (exit 2), and real regressions still fail
+(exit 1). Repeated --baseline/--current files compare per-metric medians.
 """
 
 import json
@@ -30,10 +30,13 @@ def check(label, condition, detail=""):
 
 
 def run(baseline, current, *extra):
-    return subprocess.run(
-        [sys.executable, str(TOOL), "--baseline", str(baseline),
-         "--current", str(current), *extra],
-        capture_output=True, text=True)
+    """Runs the tool; baseline and current are a path or a list of paths
+    (one --baseline/--current flag each)."""
+    argv = [sys.executable, str(TOOL)]
+    for flag, paths in (("--baseline", baseline), ("--current", current)):
+        for path in paths if isinstance(paths, list) else [paths]:
+            argv += [flag, str(path)]
+    return subprocess.run(argv + list(extra), capture_output=True, text=True)
 
 
 def bench_json(path, label, value):
@@ -107,6 +110,45 @@ with tempfile.TemporaryDirectory() as td:
     r = run(baseline, dropped)
     check("dropped baseline run fails", r.returncode == 1,
           f"rc={r.returncode} out={r.stdout}")
+
+    # --- repetitions: each side compares per-metric medians ---------------
+    reps = {}
+    for name, value in (("a", 100.0), ("b", 40.0), ("c", 104.0),
+                        ("d", 45.0), ("e", 300.0)):
+        reps[name] = tmp / f"BENCH_rep_{name}.json"
+        bench_json(reps[name], "conv", value)
+
+    r = run(baseline, [reps["a"], reps["b"], reps["c"]])
+    check("one slow repetition of three passes", r.returncode == 0,
+          f"rc={r.returncode} out={r.stdout}")
+    check("the report names the repetition counts",
+          "median of 3 current vs 1 baseline" in r.stdout, r.stdout)
+
+    r = run(baseline, [reps["a"], reps["b"], reps["d"]])
+    check("two slow repetitions of three fail", r.returncode == 1,
+          f"rc={r.returncode} out={r.stdout}")
+
+    r = run([reps["b"], reps["a"], reps["e"]], current)
+    check("baseline median ignores one outlier", r.returncode == 0,
+          f"rc={r.returncode} out={r.stdout}")
+
+    r = run([baseline, reps["e"]], reps["c"])
+    check("even count takes the mean of the middle two",
+          r.returncode == 1 and "200 -> 104" in r.stdout,
+          f"rc={r.returncode} out={r.stdout}")
+
+    r = run([tmp / "no_such_baseline.json", baseline], slow)
+    check("an unusable baseline repetition is left out", r.returncode == 1,
+          f"rc={r.returncode} out={r.stdout}")
+
+    r = run([tmp / "no_such_baseline.json", bad], current)
+    check("no usable baseline repetition skips with exit 0",
+          r.returncode == 0 and "skipping comparison" in r.stdout,
+          f"rc={r.returncode} out={r.stdout}")
+
+    r = run(baseline, [current, shape])
+    check("one broken current repetition is a usage error",
+          r.returncode == 2, f"rc={r.returncode}")
 
 if failures:
     print(f"\n{len(failures)} check(s) failed")

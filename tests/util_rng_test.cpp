@@ -236,6 +236,21 @@ TEST(Rng, ForkDoesNotAdvanceParent) {
   for (int i = 0; i < 20; ++i) ASSERT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, DiscardMatchesNextCalls) {
+  for (std::uint64_t n : {0ULL, 1ULL, 6144ULL}) {
+    Rng stepped{91};
+    stepped.next();  // start mid-stream, not at the seeded state
+    // The discarding side resumes from a state() snapshot, as a checkpoint
+    // restore would.
+    Rng skipped{0};
+    skipped.set_state(stepped.state());
+    for (std::uint64_t i = 0; i < n; ++i) stepped.next();
+    skipped.discard(n);
+    EXPECT_EQ(skipped.state(), stepped.state()) << "n = " << n;
+    EXPECT_EQ(skipped.next(), stepped.next()) << "n = " << n;
+  }
+}
+
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RngSeedSweep, UniformDrawsStayInBoundsAndVary) {

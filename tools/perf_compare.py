@@ -6,21 +6,28 @@ through bench::BenchJson) against a baseline produced by the same bench on
 the main branch, and fails (exit 1) when any throughput metric regressed by
 more than --tolerance (default 15%).
 
+Both flags repeat: given several files per side (repetitions of the same
+bench), each side's value of a metric is the median over the files that
+report it, so one noisy run on a shared host neither fails nor passes the
+gate by itself.
+
 Only higher-is-better metrics are compared: keys ending in ``_per_s``,
 ``gflops``, and ``merges_per_s``-style rates. Wall-clock and count fields
 (``wall_s``, ``events``, ``sim_s``) are informational and ignored — they
 change legitimately when workloads change.
 
-Runs are matched by label. Labels new in the current file are reported and
+Runs are matched by label. Labels new in the current files are reported and
 pass (benches gain runs across PRs) — but a label present in the baseline
-and *missing* from the current file is a hard failure, as is a throughput
+and *missing* from the current files is a hard failure, as is a throughput
 metric that vanished from a matched run: a dropped benchmark must never
-read as "no regression". A missing or unparseable baseline is a warning
-and exit 0 — the first PR that adds a bench has nothing on main to compare
-against.
+read as "no regression". A missing or unparseable baseline file is a
+warning and is left out of the median; with no usable baseline file at all
+the comparison is skipped with exit 0 — the first PR that adds a bench has
+nothing on main to compare against.
 
 Usage:
-  perf_compare.py --baseline main/BENCH_ml.json --current BENCH_ml.json \
+  perf_compare.py --baseline main1/BENCH_ml.json --baseline main2/BENCH_ml.json \
+                  --current run1/BENCH_ml.json --current run2/BENCH_ml.json \
                   [--tolerance 0.15]
 
 Exit status: 0 = no regression (or no baseline), 1 = regression, 2 = usage.
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -70,42 +78,65 @@ def load_runs(path: Path):
     return data.get("bench", path.stem), runs
 
 
+def median_runs(samples):
+    """Merges load_runs() results into {label: {metric: median value}}."""
+    values = {}
+    for runs in samples:
+        for label, metrics in runs.items():
+            for key, value in metrics.items():
+                values.setdefault(label, {}).setdefault(key, []).append(value)
+    return {
+        label: {key: statistics.median(vals) for key, vals in metrics.items()}
+        for label, metrics in values.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--baseline", required=True, type=Path,
-                        help="bench JSON from the main branch")
+                        action="append",
+                        help="bench JSON from the main branch (repeatable)")
     parser.add_argument("--current", required=True, type=Path,
-                        help="bench JSON from this checkout")
+                        action="append",
+                        help="bench JSON from this checkout (repeatable)")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="maximum allowed fractional regression "
                              "(0.15 = 15%%)")
     args = parser.parse_args(argv)
 
-    if not args.current.is_file():
-        print(f"perf_compare: no current file {args.current}", file=sys.stderr)
-        return 2
-    try:
-        bench, current = load_runs(args.current)
-    except (json.JSONDecodeError, ValueError, OSError) as e:
-        print(f"perf_compare: cannot read {args.current}: {e}",
-              file=sys.stderr)
-        print("perf_compare: re-run the bench to regenerate the current "
-              "BENCH_*.json; this is a usage error, not a regression",
-              file=sys.stderr)
-        return 2
+    current_samples = []
+    for path in args.current:
+        if not path.is_file():
+            print(f"perf_compare: no current file {path}", file=sys.stderr)
+            return 2
+        try:
+            bench, runs = load_runs(path)
+        except (json.JSONDecodeError, ValueError, OSError) as e:
+            print(f"perf_compare: cannot read {path}: {e}", file=sys.stderr)
+            print("perf_compare: re-run the bench to regenerate the current "
+                  "BENCH_*.json; this is a usage error, not a regression",
+                  file=sys.stderr)
+            return 2
+        current_samples.append(runs)
+    current = median_runs(current_samples)
 
-    try:
-        _, baseline = load_runs(args.baseline)
-    except (json.JSONDecodeError, ValueError, OSError) as e:
-        print(f"perf_compare: no usable baseline at {args.baseline} ({e})")
+    baseline_samples = []
+    for path in args.baseline:
+        try:
+            baseline_samples.append(load_runs(path)[1])
+        except (json.JSONDecodeError, ValueError, OSError) as e:
+            print(f"perf_compare: no usable baseline at {path} ({e})")
+    if not baseline_samples:
         print("perf_compare: skipping comparison — expected when main has "
               "not published this bench yet; otherwise re-download the "
               "BENCH_*.json artifact from the main-branch perf lane")
         return 0
+    baseline = median_runs(baseline_samples)
 
     regressions = []
     dropped = []
-    print(f"perf_compare: {bench} vs baseline "
+    print(f"perf_compare: {bench}, median of {len(current_samples)} "
+          f"current vs {len(baseline_samples)} baseline run(s) "
           f"(tolerance {args.tolerance:.0%})")
     for label, metrics in current.items():
         base_metrics = baseline.get(label)
