@@ -106,7 +106,7 @@ void BM_PaperCnnTrainStep(benchmark::State& state) {
     net.zero_grad();
     ml::Tensor logits = net.forward(x);
     auto loss = ml::softmax_cross_entropy(logits, y);
-    net.backward(loss.grad);
+    net.backward_params(loss.grad);
     benchmark::DoNotOptimize(loss.loss);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
@@ -329,7 +329,7 @@ int headline_main(const util::CliArgs& args) {
             net.zero_grad();
             ml::Tensor logits = net.forward(x);
             auto loss = ml::softmax_cross_entropy(logits, y);
-            net.backward(loss.grad);
+            net.backward_params(loss.grad);
           },
           min_s);
       const double steps_per_s = static_cast<double>(iters) / wall;

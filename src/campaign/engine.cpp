@@ -174,7 +174,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   // Dedicated pool: it bounds the jobs running at once at options.workers
   // (the calling thread runs jobs too and counts as one of them), while
-  // the runs' Conv2D and evaluate shards go to the process-global pool.
+  // the runs' trunk and evaluate shards go to the process-global pool.
   util::ThreadPool pool{options.workers};
   pool.parallel_for(pending.size(), [&](std::size_t p) {
     const std::size_t i = pending[p];

@@ -118,10 +118,10 @@ std::future<TrainResult> MlService::train_async(ml::Weights start,
                                                 util::Rng job_rng) const {
   // std::async with the launch::async policy gives one thread per in-flight
   // training; concurrent trainings per round are bounded by round fan-out,
-  // which is small (tens). Inside, Conv2D shards onto ThreadPool::global()
-  // only while its call is the pool's one caller; calls that overlap run
-  // on their own training thread, so concurrent trainings do not stack the
-  // pool's workers on top of themselves. Moving the trainings themselves
+  // which is small (tens). Inside, a CNN's trunk pass shards onto
+  // ThreadPool::global() only while it is the pool's one caller; passes
+  // that overlap run on their own training thread, so concurrent trainings
+  // do not stack the pool's workers on top of themselves. Moving the trainings themselves
   // onto the pool is still open, hence the sanctioned exception to the
   // raw-thread rule.
   return std::async(std::launch::async,  // rr-lint: allow(raw-thread)

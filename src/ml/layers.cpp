@@ -1,7 +1,6 @@
 #include "ml/layers.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -20,15 +19,130 @@ void he_init(Tensor& w, std::size_t fan_in, util::Rng& rng) {
   }
 }
 
-void require_rank(const Tensor& x, std::size_t rank, const char* layer) {
-  if (x.rank() != rank) {
+void require_rank(const std::vector<std::size_t>& shape, std::size_t rank,
+                  const char* layer) {
+  if (shape.size() != rank) {
     throw std::invalid_argument{std::string{layer} + ": expected rank-" +
-                                std::to_string(rank) + " input, got " +
-                                x.shape_string()};
+                                std::to_string(rank) + " input, got rank-" +
+                                std::to_string(shape.size())};
   }
 }
 
+/// Elements of one sample of a batch of this shape.
+std::size_t sample_volume(const std::vector<std::size_t>& shape) {
+  std::size_t v = 1;
+  for (std::size_t i = 1; i < shape.size(); ++i) v *= shape[i];
+  return v;
+}
+
+/// A thread's buffers for the per-sample bodies and for the gradient that
+/// one layer of a Trunk hands the layer below it within one sample.
+struct ThreadBuffers {
+  SampleScratch scratch;
+  std::vector<float> grads[2];
+};
+
+thread_local ThreadBuffers t_buffers;
+
+/// Runs body(t_buffers, s) for every sample s in [0, n): over the global
+/// pool when `shard` and n >= 2, else in order on the caller. A call from a
+/// pool worker, or one that is not alone in the pool, runs on its caller
+/// (util::ThreadPool::parallel_for).
+template <class Body>
+void for_each_sample(std::size_t n, bool shard, const Body& body) {
+  if (shard && n >= 2) {
+    util::ThreadPool::global().parallel_for(
+        n, [&](std::size_t s) { body(t_buffers, s); });
+    return;
+  }
+  ThreadBuffers& buf = t_buffers;
+  for (std::size_t s = 0; s < n; ++s) body(buf, s);
+}
+
+bool any_worth_sharding(std::span<SampleLayer* const> layers) {
+  return std::any_of(layers.begin(), layers.end(), [](const SampleLayer* l) {
+    return l->worth_sharding();
+  });
+}
+
 }  // namespace
+
+// ----------------------------------------------------------------- Trunk --
+
+Tensor Trunk::forward(std::span<SampleLayer* const> layers, const Tensor& x) {
+  if (x.rank() == 0) throw std::invalid_argument{"Trunk: rank-0 input"};
+  out_shape_.clear();  // no matching forward until this one succeeds
+  acts_.resize(layers.size());
+  std::vector<std::size_t> shape = x.shape();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    // Every element is overwritten, so a buffer of the right shape is kept.
+    if (acts_[i].shape() != shape) acts_[i] = Tensor{shape};
+    shape = layers[i]->prepare(shape);
+  }
+  Tensor y{shape};
+  const std::size_t n = x.dim(0);
+  for_each_sample(
+      n, any_worth_sharding(layers), [&](ThreadBuffers& buf, std::size_t s) {
+        const std::size_t in = sample_volume(x.shape());
+        std::memcpy(acts_[0].data() + s * in, x.data() + s * in,
+                    in * sizeof(float));
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+          Tensor& dst = i + 1 < layers.size() ? acts_[i + 1] : y;
+          const std::size_t x_vol = sample_volume(acts_[i].shape());
+          const std::size_t y_vol = sample_volume(dst.shape());
+          layers[i]->forward_sample(acts_[i].data() + s * x_vol,
+                                    dst.data() + s * y_vol, buf.scratch);
+        }
+      });
+  out_shape_ = shape;
+  return y;
+}
+
+Tensor Trunk::backward(std::span<SampleLayer* const> layers,
+                       const Tensor& grad_out, bool input_grad) {
+  if (out_shape_.empty() || acts_.size() != layers.size()) {
+    throw std::logic_error{"Trunk::backward: no matching forward"};
+  }
+  if (grad_out.shape() != out_shape_) {
+    throw std::invalid_argument{"Trunk::backward: grad shape mismatch"};
+  }
+  const std::size_t n = out_shape_[0];
+  const std::size_t out_vol = sample_volume(out_shape_);
+  std::size_t widest = 0;  // the largest gradient handed between layers
+  for (std::size_t i = 1; i < layers.size(); ++i) {
+    widest = std::max(widest, sample_volume(acts_[i].shape()));
+  }
+  Tensor dx = input_grad ? Tensor{acts_[0].shape()} : Tensor{};
+  for (SampleLayer* l : layers) l->begin_backward(n);
+  for_each_sample(
+      n, any_worth_sharding(layers), [&](ThreadBuffers& buf, std::size_t s) {
+        for (std::vector<float>& g : buf.grads) {
+          if (g.size() < widest) g.resize(widest);
+        }
+        const float* go = grad_out.data() + s * out_vol;
+        for (std::size_t i = layers.size(); i-- > 0;) {
+          const std::size_t x_vol = sample_volume(acts_[i].shape());
+          float* gx = i > 0        ? buf.grads[i % 2].data()
+                      : input_grad ? dx.data() + s * x_vol
+                                   : nullptr;
+          layers[i]->backward_sample(s, acts_[i].data() + s * x_vol, go, gx,
+                                     buf.scratch);
+          go = gx;
+        }
+      });
+  for (SampleLayer* l : layers) l->end_backward(n);
+  return dx;
+}
+
+Tensor SampleLayer::forward(const Tensor& x) {
+  SampleLayer* self = this;
+  return trunk_.forward({&self, 1}, x);
+}
+
+Tensor SampleLayer::backward(const Tensor& grad_out) {
+  SampleLayer* self = this;
+  return trunk_.backward({&self, 1}, grad_out, /*input_grad=*/true);
+}
 
 // ---------------------------------------------------------------- Linear --
 
@@ -50,7 +164,7 @@ void Linear::init_params(util::Rng& rng) {
 }
 
 Tensor Linear::forward(const Tensor& x) {
-  require_rank(x, 2, "Linear");
+  require_rank(x.shape(), 2, "Linear");
   if (x.dim(1) != in_) {
     throw std::invalid_argument{"Linear: input feature mismatch"};
   }
@@ -65,7 +179,7 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  require_rank(grad_out, 2, "Linear::backward");
+  require_rank(grad_out.shape(), 2, "Linear::backward");
   const std::size_t n = grad_out.dim(0);
   if (grad_out.dim(1) != out_ || cached_x_.empty() || cached_x_.dim(0) != n) {
     throw std::logic_error{"Linear::backward: no matching forward"};
@@ -243,96 +357,73 @@ void col2im_add(const float* cols, std::size_t cin, const ConvGeometry& g,
 
 }  // namespace
 
-template <class Body>
-void Conv2D::for_each_sample(std::size_t n, const Body& body) {
-  util::ThreadPool* pool = n >= 2 ? &util::ThreadPool::global() : nullptr;
-  const std::size_t shards = pool ? std::min(n, pool->size()) : 1;
-  if (scratch_.size() < shards) scratch_.resize(shards);
-  if (shards == 1) {
-    for (std::size_t s = 0; s < n; ++s) body(scratch_[0], s);
-    return;
-  }
-  // Shard j owns scratch_[j]; samples are handed out one at a time, so a
-  // shard that starts late (or never) leaves its share to the others.
-  std::atomic<std::size_t> next{0};
-  pool->parallel_for(shards, [&](std::size_t j) {
-    for (std::size_t s = next.fetch_add(1); s < n; s = next.fetch_add(1)) {
-      body(scratch_[j], s);
-    }
-  });
-}
-
-Tensor Conv2D::forward(const Tensor& x) {
-  require_rank(x, 4, "Conv2D");
-  if (x.dim(1) != cin_) {
+std::vector<std::size_t> Conv2D::prepare(
+    const std::vector<std::size_t>& x_shape) {
+  require_rank(x_shape, 4, "Conv2D");
+  if (x_shape[1] != cin_) {
     throw std::invalid_argument{"Conv2D: channel mismatch"};
   }
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const ConvGeometry g = conv_geometry(h, w, k_, stride_, padding_);
-  cached_x_ = x;
-  last_h_ = h;
-  last_w_ = w;
-  const std::size_t out_hw = g.oh * g.ow;
-  const std::size_t ckk = cin_ * k_ * k_;
-
-  Tensor y{{n, cout_, g.oh, g.ow}};
-  for_each_sample(n, [&](Scratch& scratch, std::size_t s) {
-    scratch.cols.resize(ckk * out_hw);
-    im2col(x.data() + s * cin_ * h * w, cin_, g, scratch.cols.data());
-    // y_s [Cout, OHW] = W [Cout, CKK] * cols [CKK, OHW], then the bias.
-    float* dst = y.data() + s * cout_ * out_hw;
-    gemm::gemm(cout_, out_hw, ckk, {w_.data(), ckk, 1},
-               {scratch.cols.data(), out_hw, 1}, dst, out_hw,
-               /*accumulate=*/false);
-    for (std::size_t c = 0; c < cout_; ++c) {
-      const float bias = b_[c];
-      for (std::size_t p = 0; p < out_hw; ++p) dst[c * out_hw + p] += bias;
-    }
-  });
-  return y;
+  const ConvGeometry g =
+      conv_geometry(x_shape[2], x_shape[3], k_, stride_, padding_);
+  last_h_ = x_shape[2];
+  last_w_ = x_shape[3];
+  return {x_shape[0], cout_, g.oh, g.ow};
 }
 
-Tensor Conv2D::backward(const Tensor& grad_out) {
-  require_rank(grad_out, 4, "Conv2D::backward");
-  if (cached_x_.empty()) {
-    throw std::logic_error{"Conv2D::backward: no matching forward"};
-  }
-  const std::size_t n = cached_x_.dim(0), h = last_h_, w = last_w_;
-  const ConvGeometry g = conv_geometry(h, w, k_, stride_, padding_);
+void Conv2D::forward_sample(const float* x, float* y,
+                            SampleScratch& scratch) const {
+  const ConvGeometry g = conv_geometry(last_h_, last_w_, k_, stride_, padding_);
   const std::size_t out_hw = g.oh * g.ow;
   const std::size_t ckk = cin_ * k_ * k_;
-  if (grad_out.dim(0) != n || grad_out.dim(1) != cout_ ||
-      grad_out.dim(2) != g.oh || grad_out.dim(3) != g.ow) {
-    throw std::invalid_argument{"Conv2D::backward: grad shape mismatch"};
+  scratch.cols.resize(ckk * out_hw);
+  im2col(x, cin_, g, scratch.cols.data());
+  // y [Cout, OHW] = W [Cout, CKK] * cols [CKK, OHW], then the bias.
+  gemm::gemm(cout_, out_hw, ckk, {w_.data(), ckk, 1},
+             {scratch.cols.data(), out_hw, 1}, y, out_hw,
+             /*accumulate=*/false);
+  for (std::size_t c = 0; c < cout_; ++c) {
+    const float bias = b_[c];
+    for (std::size_t p = 0; p < out_hw; ++p) y[c * out_hw + p] += bias;
   }
+}
 
-  Tensor dx{cached_x_.shape()};
-  dw_parts_.resize(n * cout_ * ckk);
+void Conv2D::begin_backward(std::size_t n) {
+  dw_parts_.resize(n * cout_ * cin_ * k_ * k_);
   db_parts_.resize(n * cout_);
-  for_each_sample(n, [&](Scratch& scratch, std::size_t s) {
-    const float* go = grad_out.data() + s * cout_ * out_hw;
-    // Bias gradient: sum over spatial positions.
-    for (std::size_t c = 0; c < cout_; ++c) {
-      float acc = 0.0F;
-      for (std::size_t p = 0; p < out_hw; ++p) acc += go[c * out_hw + p];
-      db_parts_[s * cout_ + c] = acc;
-    }
-    // Weight gradient: dW_s [Cout, CKK] = grad_out_s [Cout, OHW] *
-    // rows [OHW, CKK].
-    scratch.rows.resize(out_hw * ckk);
-    im2row(cached_x_.data() + s * cin_ * h * w, cin_, g, scratch.rows.data());
-    gemm::gemm(cout_, ckk, out_hw, {go, out_hw, 1},
-               {scratch.rows.data(), ckk, 1},
-               dw_parts_.data() + s * cout_ * ckk, ckk, /*accumulate=*/false);
-    // Input gradient: dcols [CKK, OHW] = W^T [CKK, Cout] * grad_out_s.
-    scratch.dcols.resize(ckk * out_hw);
-    gemm::gemm(ckk, out_hw, cout_, {w_.data(), 1, ckk}, {go, out_hw, 1},
-               scratch.dcols.data(), out_hw, /*accumulate=*/false);
-    col2im_add(scratch.dcols.data(), cin_, g, dx.data() + s * cin_ * h * w);
-  });
+}
 
+void Conv2D::backward_sample(std::size_t s, const float* x,
+                             const float* grad_out, float* dx,
+                             SampleScratch& scratch) {
+  const ConvGeometry g = conv_geometry(last_h_, last_w_, k_, stride_, padding_);
+  const std::size_t out_hw = g.oh * g.ow;
+  const std::size_t ckk = cin_ * k_ * k_;
+  // Bias gradient: sum over spatial positions.
+  for (std::size_t c = 0; c < cout_; ++c) {
+    float acc = 0.0F;
+    for (std::size_t p = 0; p < out_hw; ++p) acc += grad_out[c * out_hw + p];
+    db_parts_[s * cout_ + c] = acc;
+  }
+  // Weight gradient: dW_s [Cout, CKK] = grad_out_s [Cout, OHW] *
+  // rows [OHW, CKK].
+  scratch.rows.resize(out_hw * ckk);
+  im2row(x, cin_, g, scratch.rows.data());
+  gemm::gemm(cout_, ckk, out_hw, {grad_out, out_hw, 1},
+             {scratch.rows.data(), ckk, 1}, dw_parts_.data() + s * cout_ * ckk,
+             ckk, /*accumulate=*/false);
+  if (dx == nullptr) return;
+  // Input gradient: dcols [CKK, OHW] = W^T [CKK, Cout] * grad_out_s.
+  scratch.dcols.resize(ckk * out_hw);
+  gemm::gemm(ckk, out_hw, cout_, {w_.data(), 1, ckk}, {grad_out, out_hw, 1},
+             scratch.dcols.data(), out_hw, /*accumulate=*/false);
+  std::fill(dx, dx + cin_ * g.h * g.w, 0.0F);
+  col2im_add(scratch.dcols.data(), cin_, g, dx);
+}
+
+void Conv2D::end_backward(std::size_t n) {
   // Reduce in sample order: db_ takes each sample's sum in turn; per-sample
   // weight gradients are summed from zero, then added to dw_ once per call.
+  const std::size_t ckk = cin_ * k_ * k_;
   std::vector<float> dw_batch(cout_ * ckk, 0.0F);
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t c = 0; c < cout_; ++c) db_[c] += db_parts_[s * cout_ + c];
@@ -341,7 +432,6 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   }
   float* dw = dw_.data();
   for (std::size_t i = 0; i < dw_batch.size(); ++i) dw[i] += dw_batch[i];
-  return dx;
 }
 
 std::uint64_t Conv2D::flops_per_sample() const {
@@ -366,63 +456,66 @@ std::unique_ptr<Layer> Conv2D::clone() const {
 
 // ------------------------------------------------------------- MaxPool2D --
 
-Tensor MaxPool2D::forward(const Tensor& x) {
-  require_rank(x, 4, "MaxPool2D");
-  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = h / 2, ow = w / 2;
-  if (oh == 0 || ow == 0) {
+std::vector<std::size_t> MaxPool2D::prepare(
+    const std::vector<std::size_t>& x_shape) {
+  require_rank(x_shape, 4, "MaxPool2D");
+  if (x_shape[2] / 2 == 0 || x_shape[3] / 2 == 0) {
     throw std::invalid_argument{"MaxPool2D: input too small"};
   }
-  in_shape_ = x.shape();
-  Tensor y{{n, c, oh, ow}};
-  argmax_.resize(y.size());
-  last_out_volume_ = c * oh * ow;
-  const float* px = x.data();
-  float* py = y.data();
-  std::size_t out = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = px + (s * c + ch) * h * w;
-      const std::size_t plane_base = (s * c + ch) * h * w;
-      for (std::size_t oi = 0; oi < oh; ++oi) {
-        for (std::size_t oj = 0; oj < ow; ++oj, ++out) {
-          const std::size_t i0 = oi * 2, j0 = oj * 2;
-          std::size_t best = i0 * w + j0;
-          float best_v = plane[best];
-          const std::size_t candidates[3] = {i0 * w + j0 + 1,
-                                             (i0 + 1) * w + j0,
-                                             (i0 + 1) * w + j0 + 1};
-          for (std::size_t cand : candidates) {
-            // Selects, not branches (see ReLU::backward); same first-max
-            // tie rule.
-            const bool better = plane[cand] > best_v;
-            best_v = better ? plane[cand] : best_v;
-            best = better ? cand : best;
-          }
-          py[out] = best_v;
-          argmax_[out] = static_cast<std::uint32_t>(plane_base + best);
-        }
+  c_ = x_shape[1];
+  h_ = x_shape[2];
+  w_ = x_shape[3];
+  return {x_shape[0], c_, h_ / 2, w_ / 2};
+}
+
+void MaxPool2D::forward_sample(const float* x, float* y,
+                               SampleScratch& /*scratch*/) const {
+  for (std::size_t ch = 0; ch < c_; ++ch) {
+    const float* plane = x + ch * h_ * w_;
+    for (std::size_t oi = 0; oi < h_ / 2; ++oi) {
+      const float* r0 = plane + 2 * oi * w_;
+      const float* r1 = r0 + w_;
+      for (std::size_t oj = 0; oj < w_ / 2; ++oj) {
+        // std::max(a, b) keeps a unless b > a: the first maximum wins ties,
+        // a NaN candidate never wins, and a NaN first cell stays. It
+        // compiles to maxss, where a ?: select became a branch per cell.
+        *y++ = std::max(
+            std::max(std::max(r0[2 * oj], r0[2 * oj + 1]), r1[2 * oj]),
+            r1[2 * oj + 1]);
       }
     }
   }
-  return y;
 }
 
-Tensor MaxPool2D::backward(const Tensor& grad_out) {
-  if (in_shape_.empty() || grad_out.size() != argmax_.size()) {
-    throw std::logic_error{"MaxPool2D::backward: no matching forward"};
+void MaxPool2D::backward_sample(std::size_t /*s*/, const float* x,
+                                const float* grad_out, float* dx,
+                                SampleScratch& /*scratch*/) {
+  if (dx == nullptr) return;
+  std::fill(dx, dx + c_ * h_ * w_, 0.0F);
+  for (std::size_t ch = 0; ch < c_; ++ch) {
+    const float* plane = x + ch * h_ * w_;
+    float* dplane = dx + ch * h_ * w_;
+    for (std::size_t oi = 0; oi < h_ / 2; ++oi) {
+      for (std::size_t oj = 0; oj < w_ / 2; ++oj) {
+        // The forward's window maximum, found again by the same rule; the
+        // index follows an all-ones mask where a candidate is greater.
+        const std::size_t first = 2 * oi * w_ + 2 * oj;
+        std::size_t best = first;
+        float best_v = plane[first];
+        for (std::size_t cand : {first + 1, first + w_, first + w_ + 1}) {
+          const std::size_t take =
+              std::size_t{0} - static_cast<std::size_t>(plane[cand] > best_v);
+          best = (best & ~take) | (cand & take);
+          best_v = std::max(best_v, plane[cand]);
+        }
+        dplane[best] += *grad_out++;
+      }
+    }
   }
-  Tensor dx{in_shape_};
-  const float* go = grad_out.data();
-  float* dst = dx.data();
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    dst[argmax_[i]] += go[i];
-  }
-  return dx;
 }
 
 std::uint64_t MaxPool2D::flops_per_sample() const {
-  return last_out_volume_ * 3;  // three comparisons per output element
+  return c_ * (h_ / 2) * (w_ / 2) * 3;  // three comparisons per output
 }
 
 std::unique_ptr<Layer> MaxPool2D::clone() const {
@@ -431,32 +524,29 @@ std::unique_ptr<Layer> MaxPool2D::clone() const {
 
 // ------------------------------------------------------------------ ReLU --
 
-Tensor ReLU::forward(const Tensor& x) {
-  cached_x_ = x;
-  Tensor y = x;
-  for (float& v : y.values()) v = v > 0.0F ? v : 0.0F;
-  return y;
+std::vector<std::size_t> ReLU::prepare(
+    const std::vector<std::size_t>& x_shape) {
+  volume_ = sample_volume(x_shape);
+  return x_shape;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
-  if (!grad_out.same_shape(cached_x_)) {
-    throw std::logic_error{"ReLU::backward: no matching forward"};
-  }
-  Tensor dx = grad_out;
-  const float* px = cached_x_.data();
-  float* pd = dx.data();
+void ReLU::forward_sample(const float* x, float* y,
+                          SampleScratch& /*scratch*/) const {
+  for (std::size_t i = 0; i < volume_; ++i) y[i] = x[i] > 0.0F ? x[i] : 0.0F;
+}
+
+void ReLU::backward_sample(std::size_t /*s*/, const float* x,
+                           const float* grad_out, float* dx,
+                           SampleScratch& /*scratch*/) {
+  if (dx == nullptr) return;
   // A select, not a branch: the sign of x is data-dependent, and a
-  // mispredicted branch per element cost more than the whole mask.
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    pd[i] = px[i] <= 0.0F ? 0.0F : pd[i];
+  // mispredicted branch per element cost more than the whole mask. The
+  // gradient is loaded unconditionally; a load under the condition
+  // compiled to a branch.
+  for (std::size_t i = 0; i < volume_; ++i) {
+    const float g = grad_out[i];
+    dx[i] = x[i] <= 0.0F ? 0.0F : g;
   }
-  return dx;
-}
-
-std::uint64_t ReLU::flops_per_sample() const {
-  return cached_x_.empty() ? 0
-                           : cached_x_.size() / std::max<std::size_t>(
-                                                    1, cached_x_.dim(0));
 }
 
 std::unique_ptr<Layer> ReLU::clone() const {

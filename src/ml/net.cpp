@@ -23,38 +23,60 @@ std::size_t weights_byte_size(const Weights& w) {
 }
 
 Network::Network(std::vector<std::unique_ptr<Layer>> layers)
-    : layers_{std::move(layers)} {}
+    : layers_{std::move(layers)} {
+  find_trunk();
+}
 
 Network::Network(const Network& other) {
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
+  find_trunk();
 }
 
 Network& Network::operator=(const Network& other) {
-  if (this != &other) {
-    Network copy{other};
-    layers_ = std::move(copy.layers_);
-  }
+  if (this != &other) *this = Network{other};
   return *this;
 }
 
 void Network::append(std::unique_ptr<Layer> layer) {
   if (!layer) throw std::invalid_argument{"Network::append: null layer"};
   layers_.push_back(std::move(layer));
+  find_trunk();
+}
+
+void Network::find_trunk() {
+  trunk_layers_.clear();
+  for (const auto& l : layers_) {
+    auto* sample_layer = dynamic_cast<SampleLayer*>(l.get());
+    if (sample_layer == nullptr) break;
+    trunk_layers_.push_back(sample_layer);
+  }
 }
 
 Tensor Network::forward(const Tensor& x) {
-  Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur);
+  const std::size_t t = trunk_layers_.size();
+  Tensor cur = t > 0 ? trunk_.forward(trunk_layers_, x) : x;
+  for (std::size_t i = t; i < layers_.size(); ++i) {
+    cur = layers_[i]->forward(cur);
+  }
   return cur;
 }
 
 Tensor Network::backward(const Tensor& grad_out) {
+  return backprop(grad_out, /*input_grad=*/true);
+}
+
+void Network::backward_params(const Tensor& grad_out) {
+  backprop(grad_out, /*input_grad=*/false);
+}
+
+Tensor Network::backprop(const Tensor& grad_out, bool input_grad) {
+  const std::size_t t = trunk_layers_.size();
   Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur);
+  for (std::size_t i = layers_.size(); i-- > t;) {
+    cur = layers_[i]->backward(cur);
   }
-  return cur;
+  return t > 0 ? trunk_.backward(trunk_layers_, cur, input_grad) : cur;
 }
 
 std::vector<Tensor*> Network::params() {

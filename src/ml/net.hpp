@@ -43,13 +43,25 @@ class Network {
 
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_[i]; }
+  /// Layers in the trunk: the leading run of sample-local layers.
+  [[nodiscard]] std::size_t trunk_length() const {
+    return trunk_layers_.size();
+  }
 
-  /// Runs the batch through all layers.
+  /// Runs the batch through all layers. The leading run of sample-local
+  /// layers (Conv2D, ReLU, MaxPool2D; the trunk) runs as one ml::Trunk:
+  /// each sample start to finish on one thread, sharded over the global
+  /// pool. The layers after it run on the whole batch.
   Tensor forward(const Tensor& x);
 
   /// Backpropagates from the loss gradient; accumulates parameter grads and
   /// returns the gradient w.r.t. the network input.
   Tensor backward(const Tensor& grad_out);
+
+  /// backward() for training: accumulates the same parameter gradients, but
+  /// a trunk's first layer skips the input gradient nobody reads (for the
+  /// paper CNN's first Conv2D, half of its backward).
+  void backward_params(const Tensor& grad_out);
 
   /// All learnable parameters / their gradients, in layer order.
   [[nodiscard]] std::vector<Tensor*> params();
@@ -77,7 +89,13 @@ class Network {
   [[nodiscard]] std::string summary() const;
 
  private:
+  Tensor backprop(const Tensor& grad_out, bool input_grad);
+  /// Points trunk_layers_ at the leading SampleLayers.
+  void find_trunk();
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<SampleLayer*> trunk_layers_;
+  Trunk trunk_;  // the trunk's activations of the last forward
 };
 
 }  // namespace roadrunner::ml

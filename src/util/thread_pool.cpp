@@ -14,8 +14,9 @@ namespace {
 thread_local const ThreadPool* t_worker_of = nullptr;
 
 /// How long a thread with nothing to do polls before it blocks (see the
-/// header): about the longest gap between two Conv2D calls of a
-/// paper-CNN training step, most of which are 0.06-1 ms apart.
+/// header): longer than the gap between two trunk passes of a paper-CNN
+/// training step, in which the caller runs the head, the loss and the
+/// optimizer step.
 constexpr auto kPollFor = std::chrono::microseconds{1000};
 
 /// Polls ready() for up to kPollFor, yielding between reads so that any

@@ -1,12 +1,19 @@
-// Conv2D shards a batch's samples over the global thread pool
-// (DESIGN.md §10.4). Sharding must not change a byte: a batch-N call has to
-// equal N single-sample calls (which never shard) in y, dx, dW and db, on
-// the paper CNN's two convolutions and on a strided, padded one that takes
-// the general im2col/col2im path. On a one-core host the pool has one
-// worker and every call runs serially; the comparisons still hold.
+// A Trunk (a network's leading run of Conv2D/ReLU/MaxPool2D, or one such
+// layer called on its own) shards a batch's samples over the global thread
+// pool (DESIGN.md §10.4). Sharding must not change a byte:
+//  * a batch-N Conv2D call has to equal N single-sample calls (which never
+//    shard) in y, dx, dW and db, on the paper CNN's two convolutions and on
+//    a strided, padded one that takes the general im2col/col2im path;
+//  * a network's trunk, run as one region, has to equal its layers called
+//    one by one, and SGD on the paper CNN has to write the same weights on
+//    the main thread, inside a global-pool worker (where the trunk runs
+//    inline), inside another pool's worker and on two threads at once.
+// On a one-core host the pool has one worker and every call runs serially;
+// the comparisons still hold.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -15,6 +22,7 @@
 #include "ml/models.hpp"
 #include "ml/trainer.hpp"
 #include "test_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace roadrunner::ml {
 namespace {
@@ -139,6 +147,158 @@ TEST(ConvShard, ConcurrentCallersShareThePoolWithoutChangingBytes) {
     EXPECT_TRUE(same_bytes(o.dx, alone.dx));
     EXPECT_TRUE(same_bytes(o.dw, alone.dw));
     EXPECT_TRUE(same_bytes(o.db, alone.db));
+  }
+}
+
+struct NetPass {
+  Tensor y, dx;
+  Weights grads;
+};
+
+Weights copy_grads(const std::vector<Tensor*>& grads) {
+  Weights out;
+  for (const Tensor* g : grads) out.push_back(*g);
+  return out;
+}
+
+/// Forward then backward through a copy of `proto` (gradients start at 0).
+NetPass through_network(const Network& proto, const Tensor& x,
+                        const Tensor& grad) {
+  Network net = proto;
+  net.zero_grad();
+  NetPass out;
+  out.y = net.forward(x);
+  out.dx = net.backward(grad);
+  out.grads = copy_grads(net.grads());
+  return out;
+}
+
+/// The same pass with every layer of `proto` called on its own, in turn.
+NetPass layer_by_layer(const Network& proto, const Tensor& x,
+                       const Tensor& grad) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  for (std::size_t i = 0; i < proto.layer_count(); ++i) {
+    layers.push_back(proto.layer(i).clone());
+  }
+  NetPass out;
+  out.y = x;
+  for (auto& l : layers) out.y = l->forward(out.y);
+  out.dx = grad;
+  for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
+    out.dx = (*it)->backward(out.dx);
+  }
+  for (auto& l : layers) {
+    for (Tensor* g : l->grads()) out.grads.push_back(*g);
+  }
+  return out;
+}
+
+void expect_same_pass(const NetPass& a, const NetPass& b, std::size_t n) {
+  EXPECT_TRUE(same_bytes(a.y, b.y)) << "n " << n;
+  EXPECT_TRUE(same_bytes(a.dx, b.dx)) << "n " << n;
+  ASSERT_EQ(a.grads.size(), b.grads.size());
+  for (std::size_t i = 0; i < a.grads.size(); ++i) {
+    EXPECT_TRUE(same_bytes(a.grads[i], b.grads[i]))
+        << "n " << n << " grad " << i;
+  }
+}
+
+constexpr std::size_t kBatches[] = {1, 2, 5, 16, 17};
+
+Network paper_cnn() {
+  util::Rng init{5};
+  Network net = make_paper_cnn(3, 32, 10);
+  prime_and_init(net, {3, 32, 32}, init);
+  return net;
+}
+
+TEST(ConvShard, PaperCnnTrunkEqualsLayerByLayerCalls) {
+  const Network proto = paper_cnn();
+  EXPECT_EQ(proto.trunk_length(), 6U);  // conv-ReLU-pool, twice
+  for (std::size_t n : kBatches) {
+    util::Rng rng{n};
+    Tensor x{{n, 3, 32, 32}};
+    testing::randomize(x, rng);
+    Tensor grad{{n, 10}};
+    testing::randomize(grad, rng);
+    expect_same_pass(through_network(proto, x, grad),
+                     layer_by_layer(proto, x, grad), n);
+  }
+}
+
+TEST(ConvShard, DropoutEndsAStridedPaddedTrunk) {
+  Network proto;
+  proto.append(std::make_unique<Conv2D>(3, 4, 3, 2, 1));
+  proto.append(std::make_unique<ReLU>());
+  proto.append(std::make_unique<Dropout>(0.25F));
+  proto.append(std::make_unique<MaxPool2D>());
+  proto.append(std::make_unique<Flatten>());
+  proto.append(std::make_unique<Linear>(4 * 4 * 4, 3));
+  util::Rng init{8};
+  prime_and_init(proto, {3, 17, 17}, init);
+  EXPECT_EQ(proto.trunk_length(), 2U);
+  for (std::size_t n : kBatches) {
+    util::Rng rng{100 + n};
+    Tensor x{{n, 3, 17, 17}};
+    testing::randomize(x, rng);
+    Tensor grad{{n, 3}};
+    testing::randomize(grad, rng);
+    expect_same_pass(through_network(proto, x, grad),
+                     layer_by_layer(proto, x, grad), n);
+  }
+}
+
+/// Paper-CNN weights after SGD steps (two per epoch) on batches of n.
+Weights trained_weights(std::size_t n) {
+  data::SyntheticImageConfig images;
+  images.seed = 9;
+  auto view = DatasetView::all(
+      std::make_shared<Dataset>(data::make_synthetic_images(2 * n, images)));
+  Network net = paper_cnn();
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = n;
+  util::Rng rng{n};
+  train_sgd(net, view, cfg, rng);
+  return net.weights();
+}
+
+/// trained_weights(n) as a task of `pool`, the caller waiting for it.
+Weights trained_in_worker(util::ThreadPool& pool, std::size_t n) {
+  std::promise<Weights> result;
+  pool.submit([&] { result.set_value(trained_weights(n)); });
+  return result.get_future().get();
+}
+
+void expect_same_weights(const Weights& a, const Weights& b,
+                         const char* where, std::size_t n) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_bytes(a[i], b[i])) << where << " n " << n << " " << i;
+  }
+}
+
+TEST(ConvShard, PaperCnnSgdSameBytesOnEveryThread) {
+  util::ThreadPool one{1};
+  for (std::size_t n : kBatches) {
+    const Weights main = trained_weights(n);
+    expect_same_weights(
+        main, trained_in_worker(util::ThreadPool::global(), n),
+        "global-pool worker", n);
+    expect_same_weights(main, trained_in_worker(one, n), "ThreadPool(1)", n);
+  }
+}
+
+TEST(ConvShard, PaperCnnSgdSameBytesFromTwoCallers) {
+  const Weights alone = trained_weights(16);
+  Weights outs[2];
+  std::vector<std::thread> callers;
+  for (Weights& out : outs) {
+    callers.emplace_back([&out] { out = trained_weights(16); });
+  }
+  for (auto& t : callers) t.join();
+  for (const Weights& out : outs) {
+    expect_same_weights(alone, out, "concurrent", 16);
   }
 }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "ml/loss.hpp"
 #include "ml/net.hpp"
 #include "test_util.hpp"
@@ -123,6 +126,33 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(dx[1], 5);
   EXPECT_FLOAT_EQ(dx[2], 0);
   EXPECT_FLOAT_EQ(dx[3], 0);
+}
+
+TEST(MaxPool2D, FirstMaximumWinsAndNanRules) {
+  // Four windows: a tie (the first 3 wins), a NaN candidate (never wins),
+  // a NaN first cell (it sticks) and -0 before +0 (the first zero wins).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  MaxPool2D pool;
+  Tensor x{{1, 1, 2, 8},
+           {3, 3, 1, nan, nan, 5, -0.0F, 0.0F,  //
+            1, 3, 2, 0, 7, 9, -1, -2}};
+  Tensor y = pool.forward(x);
+  ASSERT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 1, 4}));
+  EXPECT_EQ(y[0], 3.0F);
+  EXPECT_EQ(y[1], 2.0F);
+  EXPECT_TRUE(std::isnan(y[2]));
+  EXPECT_EQ(y[3], 0.0F);
+  EXPECT_TRUE(std::signbit(y[3]));
+  Tensor g{{1, 1, 1, 4}, {10, 20, 30, 40}};
+  Tensor dx = pool.backward(g);
+  for (std::size_t i = 0; i < dx.size(); ++i) {
+    const float want = i == 0    ? 10.0F
+                       : i == 10 ? 20.0F
+                       : i == 4  ? 30.0F
+                       : i == 6  ? 40.0F
+                                 : 0.0F;
+    EXPECT_EQ(dx[i], want) << "cell " << i;
+  }
 }
 
 TEST(MaxPool2D, DropsOddTrailingEdges) {
